@@ -1,23 +1,24 @@
 """Replay-scale pins: thousand-tenant Snowflake replay at interactive speed.
 
-Two pins guard the simulation-kernel fast path:
+Two records guard the replay hot path:
 
-* the event-driven driver must process the *same* workload at >=10x the
-  events/sec of the legacy full-scan path (and produce bit-identical
-  results while doing it);
+* the schedule-driven driver's events/sec on a sparse 2000-tenant
+  workload (results are pinned bit-for-bit against the deleted per-step
+  full-scan reference by the golden digests in
+  ``tests/experiments/test_replay_equivalence.py``; that reference ran
+  this workload at 1/20.6 of the speed);
 * a 2000-tenant Fig 14-style sensitivity sweep must complete in
   interactive time (single-digit minutes), with wall-clock-per-simulated
   hour and peak RSS recorded so regressions show up in the trajectory.
 
 "Events" are job-step activations — (live job, step) pairs — a property
-of the workload, not the implementation, so both paths score the same
-numerator and only wall clock differentiates them.
+of the workload, not the implementation, so only wall clock moves the
+figure.
 """
 
 import resource
 import time
 
-import numpy as np
 from _results import record
 
 from repro.config import JiffyConfig
@@ -31,10 +32,9 @@ def _sparse_workload(num_tenants=2000, duration_s=7200.0, seed=47):
     """Many tenants, short rare jobs: <1% of jobs live at any instant.
 
     This is the regime the paper's trace lives in — thousands of tenants
-    whose short bursts rarely overlap — and exactly where per-step full
-    scans collapse: the legacy path walks every job (and re-walks them
-    every renewal round) while the event-driven path touches only the
-    handful that are live.
+    whose short bursts rarely overlap — and exactly where a per-step
+    scan of every job collapses; schedule-driven activation touches only
+    the handful that are live.
     """
     gen = SnowflakeWorkloadGenerator(
         seed=seed,
@@ -54,48 +54,36 @@ def _sparse_workload(num_tenants=2000, duration_s=7200.0, seed=47):
     ]
 
 
-def _replay(jobs, duration_s, dt, fast_path):
+def _replay(jobs, duration_s, dt):
     config = JiffyConfig(block_size=BASE_BLOCK, lease_duration=0.5)
     driver = TraceReplayDriver(config, ds_type="file", byte_scale=1.0)
     started = time.perf_counter()
-    result = driver.replay(jobs, t_end=duration_s, dt=dt, fast_path=fast_path)
+    result = driver.replay(jobs, t_end=duration_s, dt=dt)
     return result, time.perf_counter() - started
 
 
-def test_replay_fastpath_throughput(once, capsys):
-    """Event-driven activation >=10x the legacy scan, bit-identically."""
+def test_replay_throughput(once, capsys):
+    """Records schedule-driven replay events/sec on the sparse workload."""
     duration_s, dt = 7200.0, 5.0
     jobs = _sparse_workload(duration_s=duration_s)
     events = fig14.count_activations(jobs, duration_s, dt)
 
-    legacy, legacy_wall = _replay(jobs, duration_s, dt, fast_path=False)
-    fast, fast_wall = once(_replay, jobs, duration_s, dt, True)
+    result, wall = once(_replay, jobs, duration_s, dt)
 
-    speedup = legacy_wall / fast_wall
     with capsys.disabled():
         print()
         print(
-            f"replay fast path: {len(jobs)} jobs, {events} activation events\n"
-            f"  legacy scan : {legacy_wall:6.1f}s  "
-            f"{events / legacy_wall:10,.0f} events/s\n"
-            f"  event-driven: {fast_wall:6.1f}s  "
-            f"{events / fast_wall:10,.0f} events/s   ({speedup:.1f}x)"
+            f"replay: {len(jobs)} jobs, {events} activation events, "
+            f"{wall:.1f}s, {events / wall:,.0f} events/s"
         )
     record(
         "replay_scale",
-        {
-            "legacy_events_per_sec": (events / legacy_wall, "events/s"),
-            "fast_events_per_sec": (events / fast_wall, "events/s"),
-            "fastpath_speedup": (speedup, "x"),
-        },
+        {"fast_events_per_sec": (events / wall, "events/s")},
     )
-    # Same workload, same bits: the fast path changes cost, not results.
-    assert np.array_equal(legacy.used_bytes, fast.used_bytes)
-    assert np.array_equal(legacy.allocated_bytes, fast.allocated_bytes)
-    assert np.array_equal(legacy.demand_bytes, fast.demand_bytes)
-    assert legacy.prefixes_expired == fast.prefixes_expired
-    # The tentpole pin: >=10x replay throughput on the same workload.
-    assert speedup >= 10.0, f"fast path only {speedup:.1f}x over legacy scan"
+    assert result.prefixes_expired > 0
+    # The deleted full-scan reference managed ~95 events/s here; 5x that
+    # is a floor a schedule-driven replay (~1,900) cannot miss by noise.
+    assert events / wall > 500.0, f"replay only {events / wall:.0f} events/s"
 
 
 def test_replay_scale_2000_tenants(once, capsys):

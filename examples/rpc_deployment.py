@@ -13,7 +13,7 @@ Run:  python examples/rpc_deployment.py
 from repro import JiffyConfig, JiffyController, connect
 from repro.config import KB
 from repro.rpc.dataplane import RemoteKV, serve_kv
-from repro.rpc.remote import RemoteController, serve_controller
+from repro.rpc.remote import RemoteControlPlane, serve_control_plane
 from repro.sim.clock import SimClock
 from repro.sim.events import EventLoop
 from repro.sim.network import NetworkModel
@@ -26,8 +26,8 @@ def main() -> None:
     )
 
     # Control plane behind RPC (Fig 2's a-path).
-    control_server = serve_controller(controller, loop)
-    remote_ctrl = RemoteController(loop, control_server, NetworkModel())
+    control_server = serve_control_plane(controller, loop)
+    remote_ctrl = RemoteControlPlane(loop, control_server, NetworkModel())
 
     t0 = loop.clock.now()
     remote_ctrl.register_job("remote-job")

@@ -38,6 +38,7 @@ import os
 import sys
 from typing import Callable, Dict, List, Optional
 
+from repro.config import JiffyConfig
 from repro.core.plane import BACKENDS
 from repro.experiments import (
     ablations,
@@ -484,7 +485,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "telemetry":
         return telemetry_main(argv[1:])
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # Flag combinations no JiffyConfig accepts end here, as a usage
+    # error, not as a traceback from deep inside a replay.
+    try:
+        JiffyConfig(replication_factor=args.replication, tiering=args.tiering)
+    except ValueError as exc:
+        parser.error(str(exc))
     names = sorted(COMMANDS) if args.experiment == "all" else [args.experiment]
     for name in names:
         print(f"==== {name} ====")

@@ -80,14 +80,6 @@ class JiffyConfig:
         autoscale_blocks_per_server: size of servers the autoscaler adds;
             0 derives it from the largest server already in the pool.
         autoscale_min_servers: never drain below this many servers.
-        autoscale_max_servers: never join beyond this many (None = no cap).
-        expiry_sweep: expiry-worker strategy. ``"floor"`` (default)
-            schedules jobs on a min-heap of per-job lease floors so a
-            tick only touches jobs whose earliest deadline has lapsed;
-            ``"full"`` re-scans every node of every hierarchy each tick
-            — the pre-optimisation reference implementation kept for
-            conformance testing and A/B benchmarks. Both mark the same
-            prefixes expired in the same order.
         client_cache_bytes: byte budget of the per-session near-memory
             client cache (read-through over KV entries and file
             extents, lease-epoch-coherent invalidation). 0 (default)
@@ -106,16 +98,13 @@ class JiffyConfig:
             :class:`~repro.blocks.adaptive.AdaptiveTierManager` to a
             tiered pool — periodic scans promote hot spill blocks toward
             DRAM and demote cold DRAM blocks, with all movement on the
-            background scheduler.
+            background scheduler. Rejected together with
+            ``replication_factor > 1``: tier moves bypass replica-chain
+            upkeep.
         tier_chain: spill tier names behind DRAM, best first (e.g.
             ``("PMem", "SSD")``); names resolve via
             ``repro.storage.tier.TIER_BY_NAME``. Only consulted when the
             controller builds its own pool.
-        tier_promote_heat: decayed access frequency at or above which a
-            spill block is promoted one tier up.
-        tier_demote_heat: frequency at or below which a block is demoted
-            one tier down; must be <= ``tier_promote_heat`` (the gap is
-            the anti-thrash hysteresis band).
         tier_dwell_s: minimum seconds a block stays on a tier before it
             may move again.
         tier_confirm_scans: consecutive scans a block must spend beyond
@@ -123,8 +112,6 @@ class JiffyConfig:
             persistence; 1 disables it).
         tier_scan_interval_s: cadence of the tier manager's scan in the
             controller tick loop.
-        tier_heat_decay: per-scan exponential decay folding access
-            counts into heat, in (0, 1].
         tier_budgets: per-tier byte budgets as a (tier name, max bytes)
             mapping; a tier at budget overflows to the next one in the
             chain. Accepts a dict; stored as a sorted tuple of pairs so
@@ -146,19 +133,14 @@ class JiffyConfig:
     autoscale_high_free: float = 0.5
     autoscale_blocks_per_server: int = 0
     autoscale_min_servers: int = 1
-    autoscale_max_servers: typing.Optional[int] = None
-    expiry_sweep: str = "floor"
     client_cache_bytes: int = 0
     client_cache_policy: str = "lru"
     client_cache_writeback_bytes: int = 0
     tiering: str = "static"
     tier_chain: typing.Tuple[str, ...] = ("PMem", "SSD")
-    tier_promote_heat: float = 2.0
-    tier_demote_heat: float = 0.5
     tier_dwell_s: float = 2.0
     tier_confirm_scans: int = 2
     tier_scan_interval_s: float = 1.0
-    tier_heat_decay: float = 0.5
     tier_budgets: typing.Tuple[typing.Tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
@@ -177,11 +159,6 @@ class JiffyConfig:
             raise ValueError("replication_factor must be >= 1")
         if self.repartition_poll_budget < 0:
             raise ValueError("repartition_poll_budget must be >= 0")
-        if self.expiry_sweep not in ("floor", "full"):
-            raise ValueError(
-                f"expiry_sweep must be 'floor' or 'full', got "
-                f"{self.expiry_sweep!r}"
-            )
         if self.client_cache_bytes < 0:
             raise ValueError("client_cache_bytes must be >= 0")
         if self.client_cache_writeback_bytes < 0:
@@ -201,36 +178,28 @@ class JiffyConfig:
             raise ValueError("autoscale_blocks_per_server must be >= 0")
         if self.autoscale_min_servers < 1:
             raise ValueError("autoscale_min_servers must be >= 1")
-        if (
-            self.autoscale_max_servers is not None
-            and self.autoscale_max_servers < self.autoscale_min_servers
-        ):
-            raise ValueError(
-                "autoscale_max_servers must be >= autoscale_min_servers"
-            )
         if self.tiering not in ("static", "adaptive"):
             raise ValueError(
                 f"tiering must be 'static' or 'adaptive', got "
                 f"{self.tiering!r}"
             )
+        if self.tiering == "adaptive" and self.replication_factor > 1:
+            raise ValueError(
+                "tiering='adaptive' cannot be combined with "
+                f"replication_factor={self.replication_factor}: tier moves "
+                "relocate a block without updating its replica chain "
+                "(unsupported until the shared BlockMover lands); use "
+                "tiering='static' or replication_factor=1"
+            )
         object.__setattr__(self, "tier_chain", tuple(self.tier_chain))
         if not self.tier_chain:
             raise ValueError("tier_chain must name at least one tier")
-        if self.tier_demote_heat < 0 or self.tier_promote_heat < 0:
-            raise ValueError("tier heat thresholds must be >= 0")
-        if self.tier_demote_heat > self.tier_promote_heat:
-            raise ValueError(
-                "tier_demote_heat must be <= tier_promote_heat (the gap "
-                "is the hysteresis band)"
-            )
         if self.tier_dwell_s < 0:
             raise ValueError("tier_dwell_s must be >= 0")
         if self.tier_confirm_scans < 1:
             raise ValueError("tier_confirm_scans must be >= 1")
         if self.tier_scan_interval_s <= 0:
             raise ValueError("tier_scan_interval_s must be positive")
-        if not 0.0 < self.tier_heat_decay <= 1.0:
-            raise ValueError("tier_heat_decay must be in (0, 1]")
         # Normalize dict-typed budgets to a sorted tuple of pairs so the
         # (frozen) config stays hashable.
         budgets = self.tier_budgets

@@ -159,7 +159,6 @@ class JiffyController(ControlPlane):
             self.clock,
             self.config.lease_duration,
             registry=self.telemetry,
-            sweep=self.config.expiry_sweep,
         )
         self.metadata = MetadataManager()
         self._jobs: Dict[str, AddressHierarchy] = {}
@@ -204,28 +203,24 @@ class JiffyController(ControlPlane):
                 low_free_fraction=self.config.autoscale_low_free,
                 high_free_fraction=self.config.autoscale_high_free,
                 min_servers=self.config.autoscale_min_servers,
-                max_servers=self.config.autoscale_max_servers,
                 controller=self,
             )
         # Adaptive tiering (Jenga-style): the manager scans from tick(),
         # promotes hot spill blocks toward DRAM and demotes cold DRAM
         # blocks down the chain, with every copy a LOW-priority
-        # background task. Replicated deployments keep the static spill
-        # model — tier moves would bypass chain maintenance.
+        # background task. (JiffyConfig rejects adaptive + replication:
+        # tier moves would bypass chain maintenance.)
         self.tier_manager: Optional[AdaptiveTierManager] = None
         if isinstance(pool, TieredMemoryPool):
             pool.bind_registry(self.telemetry)
-            if self.config.tiering == "adaptive" and self.replicator is None:
+            if self.config.tiering == "adaptive":
                 self.tier_manager = AdaptiveTierManager(
                     pool,
                     self.clock,
                     self.background,
-                    promote_heat=self.config.tier_promote_heat,
-                    demote_heat=self.config.tier_demote_heat,
                     dwell_s=self.config.tier_dwell_s,
                     confirm_scans=self.config.tier_confirm_scans,
                     scan_interval_s=self.config.tier_scan_interval_s,
-                    heat_decay=self.config.tier_heat_decay,
                     registry=self.telemetry,
                     on_move=self._tier_move_hook,
                 )

@@ -20,22 +20,12 @@ from __future__ import annotations
 from typing import Any, List, Tuple
 
 from repro.core.controller import JiffyController
+from repro.core.plane import CONTROL_SURFACE
 from repro.errors import JiffyError
 
-#: Controller methods that mutate control-plane state and are replicated.
-MUTATING_OPS = (
-    "register_job",
-    "deregister_job",
-    "create_addr_prefix",
-    "create_hierarchy",
-    "renew_lease",
-    "grant",
-    "allocate_block",
-    "try_allocate_block",
-    "reclaim_block",
-    "register_datastructure",
-    "tick",
-)
+#: Controller methods that mutate control-plane state and are replicated
+#: — derived from the surface contract so a new op cannot be forgotten.
+MUTATING_OPS = frozenset(spec.name for spec in CONTROL_SURFACE if spec.mutates)
 
 
 class PrimaryBackupController:
@@ -63,6 +53,10 @@ class PrimaryBackupController:
     def __getattr__(self, name: str) -> Any:
         attr = getattr(self.primary, name)
         if name not in MUTATING_OPS or not callable(attr):
+            return attr
+        if self.failed_over:
+            # The promoted backup IS the primary now; replaying onto
+            # self.backup would apply the mutation twice.
             return attr
 
         def replicated(*args: Any, **kwargs: Any) -> Any:

@@ -39,15 +39,11 @@ class LeaseManager:
         clock: Clock,
         default_lease_duration: float,
         registry: Optional[MetricsRegistry] = None,
-        sweep: str = "floor",
     ) -> None:
         if default_lease_duration <= 0:
             raise ValueError("lease duration must be positive")
-        if sweep not in ("floor", "full"):
-            raise ValueError(f"sweep must be 'floor' or 'full', got {sweep!r}")
         self.clock = clock
         self.default_lease_duration = default_lease_duration
-        self.sweep = sweep
         self.telemetry = registry if registry is not None else MetricsRegistry()
         # renewals requested by jobs / node timestamps updated (incl.
         # propagation) / prefixes marked expired — registry-backed, with
@@ -168,12 +164,8 @@ class LeaseManager:
         A cheap heap peek (stale entries may report ``True`` spuriously,
         which merely costs the caller one :meth:`collect_expired` pass),
         letting the expiry worker skip sweep bookkeeping entirely on the
-        vast majority of ticks where nothing can have expired. In
-        ``"full"`` sweep mode there is no schedule — every tick scans —
-        so this always reports due.
+        vast majority of ticks where nothing can have expired.
         """
-        if self.sweep == "full":
-            return True
         heap = self._floor_heap
         return bool(heap) and heap[0][0] < now
 
@@ -219,30 +211,10 @@ class LeaseManager:
         hierarchies (ablations, direct tests) keeps the explicit
         per-hierarchy floor check. Both shapes mark the same nodes, and
         the mapping path returns them in the mapping's iteration order
-        (node order within a job), matching the historical full scan.
+        (node order within a job) — what a scan of every node of every
+        hierarchy would report.
         """
         now = self.clock.now()
-        if self.sweep == "full":
-            # Pre-optimisation reference: visit every node of every
-            # hierarchy, no floor bookkeeping. Kept for conformance
-            # testing and as the A/B baseline of the replay benchmarks.
-            if isinstance(hierarchies, Mapping):
-                hierarchies = hierarchies.values()
-            full_expired: List[AddressNode] = []
-            for hierarchy in hierarchies:
-                for node in hierarchy.nodes():
-                    if node.expired:
-                        continue
-                    if now > node.last_renewal + self.lease_duration_of(node):
-                        node.expired = True
-                        full_expired.append(node)
-                        self._c_expirations.inc()
-                        self._job_counter(
-                            self._c_expirations_by_job,
-                            "leases.expirations",
-                            node.job_id,
-                        ).inc()
-            return full_expired
         if not isinstance(hierarchies, Mapping):
             expired: List[AddressNode] = []
             for hierarchy in hierarchies:
@@ -272,9 +244,9 @@ class LeaseManager:
             return []
         if len(expired_by_job) == 1:
             return next(iter(expired_by_job.values()))
-        # Heap order is deadline order; the historical scan reported
-        # expiries in job-table order. Restore it so downstream flush /
-        # reclaim sequences (and hence block reuse) are unchanged.
+        # Heap order is deadline order; report in job-table order so
+        # downstream flush / reclaim sequences (and hence block reuse)
+        # do not depend on which deadline lapsed first.
         flat: List[AddressNode] = []
         for job_id in hierarchies:
             bucket = expired_by_job.get(job_id)

@@ -63,11 +63,16 @@ class OpSpec:
             or :data:`ROUTE_FANOUT` (aggregates/broadcasts over shards).
         batched: the remote backend carries this op (or a bulk variant
             of it) in a single RPC for many logical operations.
+        mutates: the op changes control-plane state, so a primary-backup
+            pair must replay it on the backup
+            (:data:`repro.core.failover.MUTATING_OPS` is derived from
+            this flag).
     """
 
     name: str
     routing: str = ROUTE_BY_JOB
     batched: bool = False
+    mutates: bool = False
 
 
 #: The full control surface, in Table-1 order. Generated code (the
@@ -75,48 +80,48 @@ class OpSpec:
 #: rather than hand-copying method lists.
 CONTROL_SURFACE: Tuple[OpSpec, ...] = (
     # -- job registration ------------------------------------------------
-    OpSpec("register_job"),
-    OpSpec("deregister_job"),
+    OpSpec("register_job", mutates=True),
+    OpSpec("deregister_job", mutates=True),
     OpSpec("is_registered"),
     OpSpec("jobs", routing=ROUTE_FANOUT),
     # -- address hierarchy (Table 1) ------------------------------------
-    OpSpec("create_addr_prefix"),
-    OpSpec("create_hierarchy"),
-    OpSpec("add_dependency"),
+    OpSpec("create_addr_prefix", mutates=True),
+    OpSpec("create_hierarchy", mutates=True),
+    OpSpec("add_dependency", mutates=True),
     OpSpec("resolve"),
     OpSpec("hierarchy"),
     # -- permissions -----------------------------------------------------
     OpSpec("check_permission"),
-    OpSpec("grant"),
+    OpSpec("grant", mutates=True),
     # -- leases ----------------------------------------------------------
-    OpSpec("renew_lease"),
-    OpSpec("renew_leases", routing=ROUTE_FANOUT, batched=True),
+    OpSpec("renew_lease", mutates=True),
+    OpSpec("renew_leases", routing=ROUTE_FANOUT, batched=True, mutates=True),
     OpSpec("get_lease_duration"),
-    OpSpec("start_lease"),
-    OpSpec("tick", routing=ROUTE_FANOUT),
-    OpSpec("drain_background", routing=ROUTE_FANOUT),
+    OpSpec("start_lease", mutates=True),
+    OpSpec("tick", routing=ROUTE_FANOUT, mutates=True),
+    OpSpec("drain_background", routing=ROUTE_FANOUT, mutates=True),
     # -- blocks (§3.3 scale-up / scale-down) -----------------------------
-    OpSpec("allocate_block"),
-    OpSpec("try_allocate_block"),
-    OpSpec("reclaim_block"),
-    OpSpec("reclaim_blocks", batched=True),
+    OpSpec("allocate_block", mutates=True),
+    OpSpec("try_allocate_block", mutates=True),
+    OpSpec("reclaim_block", mutates=True),
+    OpSpec("reclaim_blocks", batched=True, mutates=True),
     OpSpec("blocks_of"),
     OpSpec("get_block", routing=ROUTE_FANOUT),
     # -- elastic server membership (§3, §4.2.2) --------------------------
-    OpSpec("join_server", routing=ROUTE_FANOUT),
-    OpSpec("leave_server", routing=ROUTE_FANOUT),
+    OpSpec("join_server", routing=ROUTE_FANOUT, mutates=True),
+    OpSpec("leave_server", routing=ROUTE_FANOUT, mutates=True),
     OpSpec("list_servers", routing=ROUTE_FANOUT, batched=True),
     # -- allocation policy hooks (fairness / quotas) ---------------------
-    OpSpec("set_quota"),
+    OpSpec("set_quota", mutates=True),
     OpSpec("quota_of"),
     OpSpec("blocks_held_by"),
     # -- data-structure metadata ----------------------------------------
-    OpSpec("register_datastructure", batched=True),
+    OpSpec("register_datastructure", batched=True, mutates=True),
     OpSpec("partition_metadata"),
-    OpSpec("update_metadata"),
+    OpSpec("update_metadata", mutates=True),
     # -- flush / load (Table 1) -----------------------------------------
-    OpSpec("flush_prefix"),
-    OpSpec("load_prefix"),
+    OpSpec("flush_prefix", mutates=True),
+    OpSpec("load_prefix", mutates=True),
     # -- introspection / statistics -------------------------------------
     OpSpec("allocated_bytes", routing=ROUTE_FANOUT),
     OpSpec("used_bytes", routing=ROUTE_FANOUT),
@@ -528,11 +533,11 @@ def make_control_plane(
     if backend == "remote":
         from repro.core.controller import JiffyController
         from repro.rpc.remote import RemoteControlPlane, serve_control_plane
-        from repro.sim.events import CalendarQueue
+        from repro.sim.events import EventLoop
         from repro.sim.network import NetworkModel
 
         if loop is None:
-            loop = CalendarQueue(clock)  # type: ignore[arg-type]
+            loop = EventLoop(clock)  # type: ignore[arg-type]
         backing = JiffyController(
             config=config,
             pool=pool,

@@ -7,16 +7,12 @@ containers keep metadata in parallel arrays indexed by small integers:
 
 * :class:`Interner` — dense value→id interning, so repeated owner pairs
   (``(job_id, prefix)``) are stored once and referenced by int.
-* :class:`SlotMap` — int-handle storage with free-list slot reuse, the
-  generic building block behind the memory server's block slab and the
-  calendar queue's event arena.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generic, Hashable, List, Optional, TypeVar
+from typing import Dict, Generic, Hashable, List, Optional, TypeVar
 
-T = TypeVar("T")
 H = TypeVar("H", bound=Hashable)
 
 
@@ -51,51 +47,3 @@ class Interner(Generic[H]):
 
     def __contains__(self, value: object) -> bool:
         return value in self._ids
-
-
-class SlotMap(Generic[T]):
-    """Int-handle storage with free-list reuse of removed slots.
-
-    ``insert`` returns a handle that stays valid until ``remove``;
-    handles of removed slots are recycled, so long-running churn reuses
-    a bounded arena instead of growing a dict.
-    """
-
-    __slots__ = ("_values", "_free", "_live")
-
-    _TOMBSTONE: Any = object()
-
-    def __init__(self) -> None:
-        self._values: List[Any] = []
-        self._free: List[int] = []
-        self._live = 0
-
-    def insert(self, value: T) -> int:
-        if self._free:
-            handle = self._free.pop()
-            self._values[handle] = value
-        else:
-            handle = len(self._values)
-            self._values.append(value)
-        self._live += 1
-        return handle
-
-    def get(self, handle: int) -> T:
-        value = self._values[handle]
-        if value is SlotMap._TOMBSTONE:
-            raise KeyError(handle)
-        return value
-
-    def remove(self, handle: int) -> T:
-        value = self.get(handle)
-        self._values[handle] = SlotMap._TOMBSTONE
-        self._free.append(handle)
-        self._live -= 1
-        return value
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __iter__(self):
-        tomb = SlotMap._TOMBSTONE
-        return (v for v in self._values if v is not tomb)

@@ -32,7 +32,6 @@ from repro.config import JiffyConfig
 from repro.core.client import JiffyClient, connect
 from repro.core.plane import make_control_plane
 from repro.datastructures.base import DataStructure
-from repro.errors import QueueEmptyError
 from repro.sim.clock import SimClock
 from repro.workloads.snowflake import JobTrace
 from repro.workloads.zipf import ZipfKeySampler
@@ -89,12 +88,12 @@ class ActiveJobSet:
 
     Jobs enter when ``submit_time <= now`` and leave when
     ``end_time <= now`` — together exactly the ``submit <= now < end``
-    predicate the legacy full scan evaluated per job per step, but
-    maintained with two sorted pointers so each step costs
-    O(live + arrivals + departures) instead of O(all jobs). The active
-    list is kept sorted by each job's *original* index, so iterating it
-    visits the same jobs in the same order the full scan would and every
-    data-plane operation is issued in an identical sequence.
+    predicate, but maintained with two sorted pointers so each step
+    costs O(live + arrivals + departures) instead of O(all jobs). The
+    active list is kept sorted by each job's *original* index, so
+    iterating it visits the live jobs in input order and every
+    data-plane operation is issued in the sequence a scan of all jobs
+    would issue it.
     """
 
     def __init__(self, jobs: Sequence[JobTrace]) -> None:
@@ -168,7 +167,6 @@ class TraceReplayDriver:
         self.num_shards = num_shards
         self.zipf = ZipfKeySampler(num_keys=4096, alpha=1.0, seed=seed)
         self._key_seq = 0
-        self._batch_ops = True
 
     # ------------------------------------------------------------------
 
@@ -185,11 +183,7 @@ class TraceReplayDriver:
             ds.append(b"x" * nbytes)
         elif self.ds_type == "fifo_queue":
             count = max(nbytes // ITEM_BYTES, 1)
-            if self._batch_ops:
-                ds.enqueue_batch([b"q" * ITEM_BYTES] * count)
-            else:
-                for _ in range(count):
-                    ds.enqueue(b"q" * ITEM_BYTES)
+            ds.enqueue_batch([b"q" * ITEM_BYTES] * count)
         elif self.ds_type == "kv_store":
             count = max(nbytes // ITEM_BYTES, 1)
             pairs = []
@@ -202,11 +196,7 @@ class TraceReplayDriver:
                 pairs.append(
                     (base + b":" + str(self._key_seq).encode(), b"v" * ITEM_BYTES)
                 )
-            if self._batch_ops:
-                ds.multi_put(pairs)
-            else:
-                for key, value in pairs:
-                    ds.put(key, value)
+            ds.multi_put(pairs)
         else:
             raise ValueError(f"unsupported ds_type {self.ds_type!r}")
 
@@ -214,14 +204,7 @@ class TraceReplayDriver:
         if self.ds_type != "fifo_queue":
             return  # files/KV stores shed data via lease expiry only
         count = max(nbytes // ITEM_BYTES, 1)
-        if self._batch_ops:
-            ds.dequeue_batch(count)
-            return
-        for _ in range(count):
-            try:
-                ds.dequeue()
-            except QueueEmptyError:
-                return
+        ds.dequeue_batch(count)
 
     # ------------------------------------------------------------------
 
@@ -230,40 +213,22 @@ class TraceReplayDriver:
         jobs: Sequence[JobTrace],
         t_end: Optional[float] = None,
         dt: float = 1.0,
-        fast_path: bool = True,
     ) -> ReplayResult:
         """Replay ``jobs`` and record used/allocated over time.
 
-        With ``fast_path`` (the default) job activation is event-driven
-        — each step only visits jobs whose ``[submit, end)`` window
-        covers the step — and data-plane writes go through the batched
-        multi-op path. ``fast_path=False`` keeps the legacy full scan
-        with per-item operations as the reference implementation; both
-        produce bit-identical results (the equivalence suite asserts
-        it), the fast path just scales to thousands of tenants. The one
-        carve-out: a KV replay with *async* repartitioning polls
-        background migrations once per batch instead of once per item,
-        which can shift a migration's cut-over by a step — live data,
-        demand, and expiry counts stay identical, only the transient
-        ``allocated_bytes`` series may differ during a split.
+        Job activation is schedule-driven — each step only visits jobs
+        whose ``[submit, end)`` window covers the step — and data-plane
+        writes go through the batched multi-op path, so a KV replay with
+        *async* repartitioning polls background migrations once per
+        batch, not once per item.
         """
         jobs = list(jobs)
-        self._batch_ops = fast_path
         if t_end is None:
             t_end = max(j.end_time for j in jobs) + 2 * self.config.lease_duration
         pool_blocks = self.pool_blocks or self._required_blocks(jobs)
-        # The legacy arm is the pre-optimisation kernel end to end: it
-        # also reverts the controller's expiry worker to the full
-        # every-node-every-tick reference sweep (both sweeps mark the
-        # same prefixes expired in the same order).
-        config = (
-            self.config
-            if fast_path
-            else self.config.with_overrides(expiry_sweep="full")
-        )
         controller = make_control_plane(
             self.backend,
-            config=config,
+            config=self.config,
             clock=self.clock,
             default_blocks=pool_blocks,
             num_shards=self.num_shards,
@@ -289,8 +254,7 @@ class TraceReplayDriver:
         def renew_active(now: float, scan: Sequence[JobTrace]) -> None:
             # Only jobs live at the top of the step can have a renewable
             # stage: before submit no client exists, and after end every
-            # stage's consumer window has closed — the full scan would
-            # renew nothing for them either.
+            # stage's consumer window has closed.
             for job in scan:
                 client = clients.get(job.job_id)
                 if client is None:
@@ -303,14 +267,11 @@ class TraceReplayDriver:
                     if key in structures and stage.start <= now < consumer_end:
                         client.renew_lease(f"stage-{i}")
 
-        activation = ActiveJobSet(jobs) if fast_path else None
+        activation = ActiveJobSet(jobs)
 
         for step in range(steps):
             now = self.clock.now()
-            if activation is not None:
-                live = activation.advance(now)
-            else:
-                live = [j for j in jobs if j.submit_time <= now < j.end_time]
+            live = activation.advance(now)
             for job in live:
                 client = clients.get(job.job_id)
                 if client is None:
@@ -378,19 +339,18 @@ class TraceReplayDriver:
             rounds = max(int(math.ceil(dt / renew_interval)), 1)
             sub_dt = dt / rounds
             for _ in range(rounds):
-                renew_active(self.clock.now(), live if fast_path else jobs)
+                renew_active(self.clock.now(), live)
                 self.clock.advance(sub_dt)
                 controller.tick()
 
             times[step] = now
             used[step] = controller.used_bytes()
             allocated[step] = controller.allocated_bytes()
-            # Inactive jobs contribute an exact +0.0 to the sum, so
-            # restricting it to the live subset (in the same order)
-            # leaves every partial sum bit-identical to the full scan.
+            # Inactive jobs contribute an exact +0.0, so summing the
+            # live subset (in input order) equals the sum over all jobs
+            # bit for bit.
             demand[step] = sum(
-                self.byte_scale * job.demand_at(now)
-                for job in (live if fast_path else jobs)
+                self.byte_scale * job.demand_at(now) for job in live
             )
 
         for ds in structures.values():

@@ -113,12 +113,12 @@ def run_queueing_validation(
 
     from repro.rpc.framing import RpcRequest, encode_message
     from repro.rpc.server import RpcServer
-    from repro.sim.events import CalendarQueue
+    from repro.sim.events import EventLoop
 
     rng = random.Random(seed)
     points: List[Tuple[float, float, float]] = []
     for rho in rhos:
-        loop = CalendarQueue(SimClock())
+        loop = EventLoop(SimClock())
         server = RpcServer(loop, service_time_s=service_time_s)
         server.register("renew", lambda job, prefix: 1)
         frame = encode_message(

@@ -206,8 +206,7 @@ def count_activations(jobs: Sequence[JobTrace], t_end: float, dt: float) -> int:
     One event per (live job, step) pair — the unit of work the
     event-driven driver actually touches, and the numerator of the
     replay-throughput benchmark. Implementation-independent: computed
-    from the job windows, so the legacy full scan and the fast path
-    score the same workload identically.
+    from the job windows, so only wall clock moves events/sec.
     """
     import math
 

@@ -28,12 +28,7 @@ from repro.rpc.framing import (
 )
 from repro.rpc.server import RpcServer
 from repro.rpc.client import RpcClient
-from repro.rpc.remote import (
-    RemoteControlPlane,
-    RemoteController,
-    serve_control_plane,
-    serve_controller,
-)
+from repro.rpc.remote import RemoteControlPlane, serve_control_plane
 from repro.rpc.dataplane import (
     RemoteKV,
     RemoteQueue,
@@ -50,9 +45,7 @@ __all__ = [
     "RpcServer",
     "RpcClient",
     "RemoteControlPlane",
-    "RemoteController",
     "serve_control_plane",
-    "serve_controller",
     "RemoteKV",
     "RemoteQueue",
     "serve_kv",

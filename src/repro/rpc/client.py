@@ -22,7 +22,7 @@ from repro.rpc.framing import (
     encode_message,
 )
 from repro.rpc.server import RpcServer
-from repro.sim.events import BaseEventLoop
+from repro.sim.events import EventLoop
 from repro.sim.network import NetworkModel
 
 
@@ -35,7 +35,7 @@ class RpcClient:
 
     def __init__(
         self,
-        loop: BaseEventLoop,
+        loop: EventLoop,
         server: RpcServer,
         network: Optional[NetworkModel] = None,
         registry: Optional[telemetry.MetricsRegistry] = None,

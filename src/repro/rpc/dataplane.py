@@ -22,7 +22,7 @@ from repro.datastructures.queue import JiffyQueue
 from repro.rpc._util import chunked
 from repro.rpc.client import RpcClient
 from repro.rpc.server import ResourceFn, RpcServer
-from repro.sim.events import BaseEventLoop
+from repro.sim.events import EventLoop
 from repro.sim.network import NetworkModel
 
 #: Server-side service time for small data-plane ops (see module doc).
@@ -65,7 +65,7 @@ def _kv_owner_block(kv: JiffyKVStore) -> ResourceFn:
     return owner
 
 
-def _bind_background_executor(ds, loop: BaseEventLoop, server: RpcServer) -> None:
+def _bind_background_executor(ds, loop: EventLoop, server: RpcServer) -> None:
     """Let the structure's background work contend for this server's cores.
 
     Only when the scheduler is already bound to the same event loop and
@@ -83,7 +83,7 @@ def _bind_background_executor(ds, loop: BaseEventLoop, server: RpcServer) -> Non
 
 def serve_kv(
     kv: JiffyKVStore,
-    loop: BaseEventLoop,
+    loop: EventLoop,
     service_time_s: float = DATA_OP_SERVICE_S,
     num_cores: int = 1,
     registry: Optional[telemetry.MetricsRegistry] = None,
@@ -132,7 +132,7 @@ def serve_kv(
 
 def serve_queue(
     queue: JiffyQueue,
-    loop: BaseEventLoop,
+    loop: EventLoop,
     service_time_s: float = DATA_OP_SERVICE_S,
     num_cores: int = 1,
     registry: Optional[telemetry.MetricsRegistry] = None,
@@ -169,7 +169,7 @@ class RemoteKV:
 
     def __init__(
         self,
-        loop: BaseEventLoop,
+        loop: EventLoop,
         server: RpcServer,
         network: Optional[NetworkModel] = None,
         registry: Optional[telemetry.MetricsRegistry] = None,
@@ -271,7 +271,7 @@ class RemoteQueue:
 
     def __init__(
         self,
-        loop: BaseEventLoop,
+        loop: EventLoop,
         server: RpcServer,
         network: Optional[NetworkModel] = None,
         registry: Optional[telemetry.MetricsRegistry] = None,

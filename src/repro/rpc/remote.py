@@ -23,10 +23,6 @@ Three deliberate wire-protocol choices:
   object binding go directly to the memory servers (§2: clients
   read/write blocks without the controller on the path); the proxy
   reaches them through the served plane, never through an RPC.
-
-The original 2-method :class:`RemoteController` and
-:func:`serve_controller` are kept verbatim for existing callers; new
-code should use :func:`serve_control_plane` / :class:`RemoteControlPlane`.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro import errors
 from repro.blocks.block import Block, BlockId
 from repro.config import JiffyConfig
-from repro.core.controller import JiffyController
 from repro.core.hierarchy import AddressHierarchy, AddressNode
 from repro.core.metadata import PartitionMetadata
 from repro.core.plane import CONTROL_SURFACE, ControlPlane
@@ -47,15 +42,9 @@ from repro.rpc.client import RpcClient
 from repro.rpc.framing import RpcError
 from repro.rpc.server import RpcServer
 from repro.sim.clock import Clock
-from repro.sim.events import BaseEventLoop
+from repro.sim.events import EventLoop
 from repro.sim.network import NetworkModel
 from repro.telemetry import MetricsRegistry
-
-#: Control methods exposed over RPC by the legacy 2-method server.
-CONTROL_METHODS = (
-    "renew_lease",
-    "get_lease_duration",
-)
 
 #: Surface methods never served over the wire: they hand out live
 #: objects and belong to the data plane (§2 — clients reach memory
@@ -147,7 +136,7 @@ def _raise_mapped(exc: RpcError) -> "None":
 
 def serve_control_plane(
     plane: ControlPlane,
-    loop: BaseEventLoop,
+    loop: EventLoop,
     service_time_s: float = 10e-6,
     registry: Optional[MetricsRegistry] = None,
 ) -> RpcServer:
@@ -298,7 +287,7 @@ class RemoteControlPlane(ControlPlane):
 
     def __init__(
         self,
-        loop: BaseEventLoop,
+        loop: EventLoop,
         server: RpcServer,
         network: Optional[NetworkModel] = None,
         registry: Optional[MetricsRegistry] = None,
@@ -566,103 +555,3 @@ class RemoteControlPlane(ControlPlane):
     def __repr__(self) -> str:
         return f"RemoteControlPlane(calls={self._rpc.calls})"
 
-
-# ----------------------------------------------------------------------
-# Legacy 2-method server + thin proxy (kept for existing callers)
-# ----------------------------------------------------------------------
-
-
-def serve_controller(
-    controller: JiffyController,
-    loop: BaseEventLoop,
-    service_time_s: float = 10e-6,
-) -> RpcServer:
-    """Expose a controller's control-plane surface on an RPC server."""
-    server = RpcServer(loop, service_time_s=service_time_s)
-    for method in CONTROL_METHODS:
-        server.register(method, getattr(controller, method))
-
-    # Methods needing light marshalling get explicit wrappers.
-    def register_job(job_id: str) -> bool:
-        controller.register_job(job_id)
-        return True
-
-    def create_addr_prefix(job_id: str, name: str, parents: Sequence[str]) -> bool:
-        controller.create_addr_prefix(job_id, name, parents=list(parents))
-        return True
-
-    def create_hierarchy(job_id: str, dag_json: str) -> bool:
-        dag: Mapping[str, List[str]] = json.loads(dag_json)
-        controller.create_hierarchy(job_id, dag)
-        return True
-
-    def allocate_block(job_id: str, prefix: str) -> str:
-        return controller.allocate_block(job_id, prefix).block_id
-
-    def reclaim_block(job_id: str, prefix: str, block_id: str) -> bool:
-        controller.reclaim_block(job_id, prefix, block_id)
-        return True
-
-    def resolve(job_id: str, prefix: str) -> str:
-        return controller.resolve(job_id, prefix).name
-
-    def deregister_job(job_id: str) -> int:
-        return controller.deregister_job(job_id)
-
-    server.register("register_job", register_job)
-    server.register("create_addr_prefix", create_addr_prefix)
-    server.register("create_hierarchy", create_hierarchy)
-    server.register("allocate_block", allocate_block)
-    server.register("reclaim_block", reclaim_block)
-    server.register("resolve", resolve)
-    server.register("deregister_job", deregister_job)
-    return server
-
-
-class RemoteController:
-    """Typed client proxy over the RPC transport (legacy thin surface)."""
-
-    def __init__(
-        self,
-        loop: BaseEventLoop,
-        server: RpcServer,
-        network: Optional[NetworkModel] = None,
-    ) -> None:
-        self._rpc = RpcClient(loop, server, network=network)
-
-    def register_job(self, job_id: str) -> None:
-        self._rpc.call("register_job", job_id)
-
-    def deregister_job(self, job_id: str) -> int:
-        return self._rpc.call("deregister_job", job_id)
-
-    def create_addr_prefix(
-        self, job_id: str, name: str, parents: Sequence[str] = ()
-    ) -> None:
-        self._rpc.call("create_addr_prefix", job_id, name, list(parents))
-
-    def create_hierarchy(self, job_id: str, dag: Mapping[str, Sequence[str]]) -> None:
-        self._rpc.call(
-            "create_hierarchy", job_id, json.dumps({k: list(v) for k, v in dag.items()})
-        )
-
-    def renew_lease(self, job_id: str, prefix: str) -> int:
-        return self._rpc.call("renew_lease", job_id, prefix)
-
-    def get_lease_duration(self, job_id: str, prefix: str) -> float:
-        return self._rpc.call("get_lease_duration", job_id, prefix)
-
-    def allocate_block(self, job_id: str, prefix: str) -> str:
-        return self._rpc.call("allocate_block", job_id, prefix)
-
-    def reclaim_block(self, job_id: str, prefix: str, block_id: str) -> None:
-        self._rpc.call("reclaim_block", job_id, prefix, block_id)
-
-    def resolve(self, job_id: str, prefix: str) -> str:
-        return self._rpc.call("resolve", job_id, prefix)
-
-    def renew_many(self, renewals: Sequence[tuple]) -> List[int]:
-        """Pipelined lease renewals ``[(job_id, prefix), ...]``."""
-        return self._rpc.pipeline(
-            [("renew_lease", job_id, prefix) for job_id, prefix in renewals]
-        )

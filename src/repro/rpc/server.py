@@ -39,7 +39,7 @@ from repro.rpc.framing import (
     encode_message,
 )
 from repro.sim import cost as simcost
-from repro.sim.events import BaseEventLoop
+from repro.sim.events import EventLoop
 
 #: handler(*args) -> serialisable value
 Handler = Callable[..., Any]
@@ -115,7 +115,7 @@ class RpcServer:
 
     def __init__(
         self,
-        loop: BaseEventLoop,
+        loop: EventLoop,
         service_time_s: float = 10e-6,
         num_cores: int = 1,
         registry: Optional[telemetry.MetricsRegistry] = None,

@@ -14,14 +14,7 @@ from repro.sim.background import (
     BackgroundTask,
 )
 from repro.sim.clock import Clock, SimClock, WallClock
-from repro.sim.events import (
-    BaseEventLoop,
-    CalendarQueue,
-    Event,
-    EventHandle,
-    EventLoop,
-    make_event_loop,
-)
+from repro.sim.events import Event, EventLoop
 from repro.sim.latency import LatencyModel, ConstantLatency, LogNormalLatency
 from repro.sim.network import NetworkModel
 
@@ -29,12 +22,8 @@ __all__ = [
     "Clock",
     "SimClock",
     "WallClock",
-    "BaseEventLoop",
-    "CalendarQueue",
     "EventLoop",
     "Event",
-    "EventHandle",
-    "make_event_loop",
     "BackgroundScheduler",
     "BackgroundTask",
     "URGENT",

@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
-from repro.sim.events import BaseEventLoop, Event, EventHandle
+from repro.sim.events import Event, EventLoop
 
 #: Priorities, lowest value served first.
 URGENT = 0  #: foreground correctness depends on this (e.g. forced drain)
@@ -85,7 +85,7 @@ class BackgroundTask:
         self.enqueued_at = 0.0
         self.completed_at = 0.0
         # Loop mode: the in-flight apply (cost already reserved).
-        self._pending_event: Optional[Union[Event, EventHandle]] = None
+        self._pending_event: Optional[Event] = None
         self._pending_apply: Optional[Callable[[], None]] = None
 
     @property
@@ -108,7 +108,7 @@ class BackgroundScheduler:
     def __init__(
         self,
         clock: Optional[object] = None,
-        loop: Optional[BaseEventLoop] = None,
+        loop: Optional[EventLoop] = None,
         executor: Optional[object] = None,
         max_workers: int = 2,
         registry: Optional[telemetry.MetricsRegistry] = None,

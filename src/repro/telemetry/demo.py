@@ -27,7 +27,7 @@ from repro.core.client import connect
 from repro.core.plane import ControlPlane, make_control_plane
 from repro.rpc.dataplane import RemoteKV, serve_kv
 from repro.sim.clock import SimClock
-from repro.sim.events import CalendarQueue
+from repro.sim.events import EventLoop
 from repro.storage.tier import SSD_TIER
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracer import Tracer
@@ -73,7 +73,7 @@ def run(
         tracer.configure_output(trace_path)
 
     clock = SimClock()
-    loop = CalendarQueue(clock)
+    loop = EventLoop(clock)
     config = JiffyConfig(block_size=4 * KB, lease_duration=30.0)
     # Tiny DRAM tier: some blocks spill.
     if backend == "sharded":

@@ -71,6 +71,29 @@ class TestFailover:
         node = pair.hierarchy("j").get_node("t2")
         assert len(node.block_ids) == 1
 
+    def test_batched_and_policy_ops_survive_failover(self, clock):
+        """MUTATING_OPS is derived from CONTROL_SURFACE: bulk renewals,
+        bulk reclaims and quota changes reach the backup too."""
+        pair = make_pair(clock)
+        pair.register_job("j")
+        pair.create_hierarchy("j", {"t2": ["t1"]})
+        blocks = [pair.allocate_block("j", "t2").block_id for _ in range(3)]
+        clock.advance(0.5)
+        pair.renew_leases([("j", "t2")])
+        assert pair.reclaim_blocks("j", "t2", blocks[:2]) == 2
+        pair.set_quota("j", 5)
+        assert pair.state_matches()
+        before = pair.describe_job("j")
+        pair.failover()
+        assert pair.describe_job("j") == before
+        assert pair.hierarchy("j").get_node("t2").block_ids == blocks[2:]
+        assert pair.hierarchy("j").get_node("t1").last_renewal == 0.5
+        assert pair.quota_of("j") == 5
+        assert pair.primary.pool.allocated_blocks == 1
+        # The promoted backup serves mutations alone: applied once.
+        pair.allocate_block("j", "t2")
+        assert pair.primary.pool.allocated_blocks == 2
+
     def test_double_failover_rejected(self, clock):
         pair = make_pair(clock)
         pair.failover()

@@ -1,22 +1,22 @@
-"""Equivalence suite: heap-scheduled expiry sweep vs the full scan.
+"""Equivalence suite: heap-scheduled expiry sweep vs a full scan.
 
-``JiffyConfig(expiry_sweep="floor")`` (the default) drives the expiry
-worker off a min-heap of per-job lease floors so a tick touches only
-jobs whose earliest deadline has lapsed; ``"full"`` is the
-pre-optimisation reference that re-scans every node each tick. The two
-must mark the same prefixes expired, in the same order, under any
-interleaving of renewals, lease (re)starts, and clock advances — that
-is what makes the heap a pure cost optimisation.
+:class:`LeaseManager` drives the expiry worker off a min-heap of per-job
+lease floors so a tick touches only jobs whose earliest deadline has
+lapsed. The oracle here (:func:`full_scan`) re-scans every node of every
+hierarchy instead. The two must mark the same prefixes expired, in the
+same order, under any interleaving of renewals, lease (re)starts, and
+clock advances — that is what makes the heap a pure cost optimisation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from repro.core.hierarchy import AddressHierarchy
+from repro.core.hierarchy import AddressHierarchy, AddressNode
 from repro.core.lease import LeaseManager
 from repro.sim.clock import SimClock
 
@@ -36,9 +36,25 @@ NODES = sorted(DAG)
 ADVANCES = (0.1, 0.4, 0.5, 0.9, 1.0, 1.1, 2.5)
 
 
-def _build(sweep: str, num_jobs: int):
+def full_scan(
+    manager: LeaseManager, hierarchies: Iterable[AddressHierarchy]
+) -> List[AddressNode]:
+    """The oracle: visit every node, no floor bookkeeping."""
+    now = manager.clock.now()
+    expired: List[AddressNode] = []
+    for hierarchy in hierarchies:
+        for node in hierarchy.nodes():
+            if node.expired:
+                continue
+            if now > node.last_renewal + manager.lease_duration_of(node):
+                node.expired = True
+                expired.append(node)
+    return expired
+
+
+def _build(num_jobs: int):
     clock = SimClock()
-    manager = LeaseManager(clock, 1.0, sweep=sweep)
+    manager = LeaseManager(clock, 1.0)
     jobs: Dict[str, AddressHierarchy] = {}
     for j in range(num_jobs):
         hierarchy = AddressHierarchy.from_dag(f"job-{j}", DAG)
@@ -71,14 +87,15 @@ def programs(draw):
     return num_jobs, ops
 
 
+@pytest.mark.parametrize("shape", ["mapping", "iterable"])
 @given(program=programs())
 @settings(max_examples=80, deadline=None)
-def test_floor_sweep_matches_full_scan(program) -> None:
+def test_floor_sweep_matches_full_scan(shape, program) -> None:
     num_jobs, ops = program
-    f_clock, floor_mgr, floor_jobs = _build("floor", num_jobs)
-    s_clock, full_mgr, full_jobs = _build("full", num_jobs)
+    f_clock, floor_mgr, floor_jobs = _build(num_jobs)
+    s_clock, full_mgr, full_jobs = _build(num_jobs)
 
-    def run(op, clock, manager, jobs) -> List[str]:
+    def run(op, clock, manager, jobs, oracle) -> List[str]:
         kind = op[0]
         if kind == "advance":
             clock.advance(op[1])
@@ -92,26 +109,33 @@ def test_floor_sweep_matches_full_scan(program) -> None:
             _, j, name, _ = op
             manager.start(jobs[f"job-{j}"].get_node(name))
             return []
-        # The floor manager takes the controller's mapping shape (the
-        # heap path); the full manager the legacy iterable shape.
-        arg = jobs if manager.sweep == "floor" else list(jobs.values())
-        return [f"{n.job_id}:{n.name}" for n in manager.collect_expired(arg)]
+        # The sweep takes the controller's mapping shape (the heap
+        # path) or a plain iterable of hierarchies (per-job floor check).
+        if oracle:
+            nodes = full_scan(manager, jobs.values())
+        elif shape == "mapping":
+            nodes = manager.collect_expired(jobs)
+        else:
+            nodes = manager.collect_expired(list(jobs.values()))
+        return [f"{n.job_id}:{n.name}" for n in nodes]
 
+    expirations = 0
     for op in ops:
-        a = run(op, f_clock, floor_mgr, floor_jobs)
-        b = run(op, s_clock, full_mgr, full_jobs)
+        a = run(op, f_clock, floor_mgr, floor_jobs, oracle=False)
+        b = run(op, s_clock, full_mgr, full_jobs, oracle=True)
         assert a == b
+        expirations += len(b)
         # Expired marks agree node-by-node after every operation.
         for j in floor_jobs:
             for fn, sn in zip(floor_jobs[j].nodes(), full_jobs[j].nodes()):
                 assert fn.expired == sn.expired, (j, fn.name)
-    assert floor_mgr.expirations == full_mgr.expirations
+    assert floor_mgr.expirations == expirations
 
 
 def test_multi_job_expiry_keeps_job_table_order() -> None:
     """Jobs expiring in one pass come back in mapping order, not
-    deadline order — matching the historical full scan exactly."""
-    clock, manager, jobs = _build("floor", 3)
+    deadline order — matching a full scan exactly."""
+    clock, manager, jobs = _build(3)
     # Give job-2 the *earliest* deadline so heap order != table order.
     for j, extra in (("job-2", 0.0), ("job-0", 0.3), ("job-1", 0.6)):
         clock_now = clock.now()
@@ -130,7 +154,7 @@ def test_multi_job_expiry_keeps_job_table_order() -> None:
 
 
 def test_due_is_a_cheap_gate() -> None:
-    clock, manager, jobs = _build("floor", 1)
+    clock, manager, jobs = _build(1)
     assert not manager.due(clock.now())
     clock.advance(0.9)
     assert not manager.due(clock.now())  # inside the lease
@@ -139,12 +163,9 @@ def test_due_is_a_cheap_gate() -> None:
     assert manager.collect_expired(jobs)
     assert not manager.due(clock.now())  # everything marked; nothing due
 
-    full = LeaseManager(SimClock(), 1.0, sweep="full")
-    assert full.due(0.0)  # the reference mode always sweeps
-
 
 def test_deregistered_job_entry_is_dropped() -> None:
-    clock, manager, jobs = _build("floor", 2)
+    clock, manager, jobs = _build(2)
     clock.advance(2.0)
     del jobs["job-0"]  # deregistered before its floor lapsed
     expired = manager.collect_expired(jobs)

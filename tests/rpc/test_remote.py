@@ -4,8 +4,8 @@ import pytest
 
 from repro.config import KB, JiffyConfig
 from repro.core.controller import JiffyController
-from repro.rpc.framing import RpcError
-from repro.rpc.remote import RemoteController, serve_controller
+from repro.errors import RegistrationError
+from repro.rpc.remote import RemoteControlPlane, serve_control_plane
 from repro.sim.clock import SimClock
 from repro.sim.events import EventLoop
 from repro.sim.network import NetworkModel
@@ -17,8 +17,8 @@ def setup():
     controller = JiffyController(
         JiffyConfig(block_size=KB), clock=loop.clock, default_blocks=64
     )
-    server = serve_controller(controller, loop)
-    remote = RemoteController(loop, server, network=NetworkModel(sigma=0.0))
+    server = serve_control_plane(controller, loop)
+    remote = RemoteControlPlane(loop, server, network=NetworkModel(sigma=0.0))
     return loop, controller, server, remote
 
 
@@ -28,7 +28,7 @@ class TestRemoteControl:
         remote.register_job("j")
         remote.create_hierarchy("j", {"t2": ["t1"], "t3": ["t2"]})
         assert controller.is_registered("j")
-        assert remote.resolve("j", "t1/t2/t3") == "t3"
+        assert remote.resolve("j", "t1/t2/t3").name == "t3"
 
     def test_lease_over_rpc(self, setup):
         loop, controller, server, remote = setup
@@ -41,14 +41,14 @@ class TestRemoteControl:
         loop, controller, server, remote = setup
         remote.register_job("j")
         remote.create_addr_prefix("j", "t1")
-        block_id = remote.allocate_block("j", "t1")
+        block_id = remote.allocate_block("j", "t1").block_id
         assert controller.pool.allocated_blocks == 1
         remote.reclaim_block("j", "t1", block_id)
         assert controller.pool.allocated_blocks == 0
 
     def test_errors_cross_the_wire(self, setup):
         loop, controller, server, remote = setup
-        with pytest.raises(RpcError, match="not registered"):
+        with pytest.raises(RegistrationError, match="not registered"):
             remote.renew_lease("ghost", "t1")
 
     def test_deregister(self, setup):
@@ -69,11 +69,12 @@ class TestRemoteControl:
         node = controller.resolve("j", "t1")
         assert node.last_renewal >= t_before
 
-    def test_pipelined_renewals(self, setup):
+    def test_batched_renewals_are_one_request(self, setup):
         loop, controller, server, remote = setup
         for i in range(4):
             remote.register_job(f"j{i}")
             remote.create_addr_prefix(f"j{i}", "t")
-        counts = remote.renew_many([(f"j{i}", "t") for i in range(4)])
+        served = server.stats.requests_served
+        counts = remote.renew_leases([(f"j{i}", "t") for i in range(4)])
         assert counts == [1, 1, 1, 1]
-        assert server.stats.requests_served >= 12
+        assert server.stats.requests_served == served + 1

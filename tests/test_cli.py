@@ -49,6 +49,12 @@ class TestDispatch:
         assert f"==== {experiment} ====" in out
         assert len(out.splitlines()) > 3
 
+    def test_fig9sys_rejects_adaptive_tiering_with_replication(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig9sys", "--quick", "--replication", "2", "--tiering", "adaptive"])
+        assert exit_info.value.code == 2
+        assert "replica chain" in capsys.readouterr().err
+
     def test_fig1_quick(self, capsys):
         assert main(["fig1", "--quick"]) == 0
         assert "Fig 1" in capsys.readouterr().out

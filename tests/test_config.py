@@ -60,6 +60,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             JiffyConfig(replication_factor=0)
 
+    def test_rejects_adaptive_tiering_with_replication(self):
+        # Tier moves bypass replica-chain upkeep, so the combination is
+        # refused at construction instead of silently running static.
+        with pytest.raises(ValueError, match="replica chain"):
+            JiffyConfig(tiering="adaptive", replication_factor=2)
+        assert JiffyConfig(tiering="adaptive").tiering == "adaptive"
+        assert JiffyConfig(replication_factor=2).replication_factor == 2
+
 
 class TestOverrides:
     def test_with_overrides_returns_new_config(self):
