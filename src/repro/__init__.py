@@ -43,7 +43,6 @@ from repro.core import (
     connect,
     make_control_plane,
 )
-from repro.core.live import LiveJiffy
 from repro.datastructures import (
     CuckooHashTable,
     DataStructure,
@@ -81,7 +80,6 @@ __all__ = [
     "ChainReplicator",
     "ClusterAutoscaler",
     "PrimaryBackupController",
-    "LiveJiffy",
     "TieredMemoryPool",
     "connect",
     "AddressHierarchy",

@@ -66,6 +66,9 @@ class AdaptiveTierManager:
         pool: the N-tier pool to manage.
         clock: time source shared with the deployment (dwell + cadence).
         scheduler: background scheduler the moves run on (LOW priority).
+        on_move: cut-over hook fired with ``(old_id, new_block)`` before
+            the old block is reclaimed — the controller passes its
+            rebind-and-forward routine.
         promote_heat: decayed-frequency floor for moving a block one
             tier *up* (toward DRAM).
         demote_heat: ceiling for moving a block one tier *down*. Must be
@@ -87,9 +90,6 @@ class AdaptiveTierManager:
         max_moves_per_scan: cap on moves planned per scan, bounding the
             background copy backlog.
         registry: metrics registry for the ``tier.*`` counters.
-        on_move: cut-over hook — the controller passes its
-            rebind-and-forward routine. Without one the manager records
-            forwards locally (see :meth:`resolve`).
         inline: execute moves synchronously inside :meth:`scan` and
             charge their modeled cost to the innermost foreground cost
             collector — the A/B ablation proving the background path
@@ -101,6 +101,7 @@ class AdaptiveTierManager:
         pool: TieredMemoryPool,
         clock: Clock,
         scheduler: BackgroundScheduler,
+        on_move: MoveHook,
         promote_heat: float = 2.0,
         demote_heat: float = 0.5,
         dwell_s: float = 2.0,
@@ -110,7 +111,6 @@ class AdaptiveTierManager:
         hysteresis_ratio: float = 2.0,
         max_moves_per_scan: int = 8,
         registry: Optional[MetricsRegistry] = None,
-        on_move: Optional[MoveHook] = None,
         inline: bool = False,
     ) -> None:
         if demote_heat > promote_heat:
@@ -150,7 +150,6 @@ class AdaptiveTierManager:
         self._promote_streak: Dict[BlockId, int] = {}
         self._demote_streak: Dict[BlockId, int] = {}
         self._pending: Set[BlockId] = set()
-        self._forwards: Dict[BlockId, BlockId] = {}
         reg = registry if registry is not None else MetricsRegistry()
         self._c_promotions = reg.counter("tier.promotions")
         self._c_demotions = reg.counter("tier.demotions")
@@ -174,13 +173,6 @@ class AdaptiveTierManager:
     @property
     def thrash_aborts(self) -> int:
         return self._c_thrash.value
-
-    def resolve(self, block_id: BlockId) -> BlockId:
-        """Follow local forwards for deployments without a controller."""
-        forwards = self._forwards
-        while block_id in forwards:
-            block_id = forwards[block_id]
-        return block_id
 
     def _tier_of(self, name: str) -> StorageTier:
         if name == DRAM_NAME:
@@ -439,18 +431,7 @@ class AdaptiveTierManager:
         new.tier_since = self.clock.now()
         new.tier_moves = block.tier_moves + 1
         self._c_moved_bytes.inc(max(block.used, 0))
-        if self.on_move is not None:
-            self.on_move(old_id, new)
-        else:
-            # The new block may sit on a *reused* id (a swap hands the
-            # victim's freed DRAM slot to the candidate), so purge any
-            # stale entry for it and compress chains ending at old_id —
-            # otherwise resolve() follows a dead hop (or cycles).
-            self._forwards.pop(new.block_id, None)
-            for key, value in self._forwards.items():
-                if value == old_id:
-                    self._forwards[key] = new.block_id
-            self._forwards[old_id] = new.block_id
+        self.on_move(old_id, new)
         self.pool.reclaim(old_id)
         if kind == "promote":
             self._c_promotions.inc()

@@ -100,9 +100,6 @@ class MemoryPool:
         self._get_server(server_id)
         self._draining.add(server_id)
 
-    def unmark_draining(self, server_id: str) -> None:
-        self._draining.discard(server_id)
-
     def is_draining(self, server_id: str) -> bool:
         return server_id in self._draining
 

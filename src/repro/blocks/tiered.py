@@ -54,9 +54,6 @@ class TieredMemoryPool(MemoryPool):
 
     Args:
         block_size: capacity of each block in bytes.
-        spill_tier: single-spill-tier shorthand — equivalent to
-            ``tiers=[spill_tier]`` (kept for callers predating the
-            N-tier chain). Mutually exclusive with ``tiers``.
         spill_server_blocks: blocks per virtual spill server.
         tiers: ordered demotion chain of :class:`StorageTier`s; spill
             allocation walks it front to back. Defaults to ``[SSD]``.
@@ -68,18 +65,13 @@ class TieredMemoryPool(MemoryPool):
     def __init__(
         self,
         block_size: int,
-        spill_tier: Optional[StorageTier] = None,
         spill_server_blocks: int = 64,
-        tiers: Optional[Sequence[StorageTier]] = None,
+        tiers: Sequence[StorageTier] = (SSD_TIER,),
         tier_budgets: Optional[Mapping[str, int]] = None,
     ) -> None:
         super().__init__(block_size)
         if spill_server_blocks <= 0:
             raise BlockError("spill_server_blocks must be positive")
-        if spill_tier is not None and tiers is not None:
-            raise BlockError("pass either spill_tier or tiers, not both")
-        if tiers is None:
-            tiers = (spill_tier if spill_tier is not None else SSD_TIER,)
         if not tiers:
             raise BlockError("tier chain must not be empty")
         self.tiers: Tuple[StorageTier, ...] = tuple(tiers)
@@ -88,8 +80,6 @@ class TieredMemoryPool(MemoryPool):
             if tier.name in seen or tier.name == DRAM_NAME:
                 raise BlockError(f"duplicate tier in chain: {tier.name}")
             seen.add(tier.name)
-        #: First (fastest) spill tier — legacy accessor.
-        self.spill_tier = self.tiers[0]
         self.spill_server_blocks = spill_server_blocks
         self._chain_by_name: Dict[str, StorageTier] = {
             t.name: t for t in self.tiers
@@ -285,7 +275,7 @@ class TieredMemoryPool(MemoryPool):
         block.acc += 1
         if block.tier == DRAM_NAME:
             return 0.0  # DRAM path folded into baseline op cost
-        tier = self._chain_by_name.get(block.tier, self.spill_tier)
+        tier = self._chain_by_name.get(block.tier, self.tiers[0])
         if write:
             return tier.write_latency(nbytes)
         return tier.read_latency(nbytes)

@@ -79,7 +79,9 @@ class JiffyConfig:
             are drained away.
         autoscale_blocks_per_server: size of servers the autoscaler adds;
             0 derives it from the largest server already in the pool.
-        autoscale_min_servers: never drain below this many servers.
+        autoscale_min_servers: never drain below this many servers. With
+            ``autoscale`` on it must be >= ``replication_factor``, so a
+            replica chain always finds distinct servers.
         client_cache_bytes: byte budget of the per-session near-memory
             client cache (read-through over KV entries and file
             extents, lease-epoch-coherent invalidation). 0 (default)
@@ -178,6 +180,13 @@ class JiffyConfig:
             raise ValueError("autoscale_blocks_per_server must be >= 0")
         if self.autoscale_min_servers < 1:
             raise ValueError("autoscale_min_servers must be >= 1")
+        if self.autoscale and self.autoscale_min_servers < self.replication_factor:
+            raise ValueError(
+                f"autoscale_min_servers={self.autoscale_min_servers} is below "
+                f"replication_factor={self.replication_factor}: the autoscaler "
+                "could drain to fewer servers than a replica chain needs; "
+                "raise autoscale_min_servers or disable autoscale"
+            )
         if self.tiering not in ("static", "adaptive"):
             raise ValueError(
                 f"tiering must be 'static' or 'adaptive', got "

@@ -21,7 +21,6 @@ from repro.core.sharding import ShardedController
 from repro.core.replication import ChainReplicator
 from repro.core.autoscale import ClusterAutoscaler
 from repro.core.failover import PrimaryBackupController
-from repro.core.fairness import FairShareManager
 
 __all__ = [
     "AddressHierarchy",
@@ -43,5 +42,4 @@ __all__ = [
     "ChainReplicator",
     "ClusterAutoscaler",
     "PrimaryBackupController",
-    "FairShareManager",
 ]

@@ -12,18 +12,10 @@ capacity falls below ``low_free_fraction``, add servers; when it rises
 above ``high_free_fraction`` (and more than ``min_servers`` remain),
 drain and remove servers.
 
-Two modes:
-
-* **controller mode** (``controller=`` given): scaling goes through the
-  membership surface — ``join_server`` makes capacity allocatable
-  immediately, ``leave_server`` starts a background drain that migrates
-  resident blocks off before removal, so even loaded servers can be
-  scaled away safely.
-* **pool-only mode**: the legacy standalone behaviour; only *empty*
-  servers are removed, and removal is drain-gated — the candidate is
-  marked draining (excluding it from new allocations) before the final
-  emptiness check, closing the race where an allocation lands on the
-  candidate between the pick and the remove.
+Scaling goes through the controller's membership surface —
+``join_server`` makes capacity allocatable immediately, ``leave_server``
+starts a background drain that migrates resident blocks off before
+removal, so even loaded servers can be scaled away safely.
 
 Draining servers count toward neither the free fraction nor the server
 count: their capacity is already on its way out, and counting it would
@@ -33,33 +25,33 @@ either re-trigger scale-downs forever or mask a real capacity shortage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import TYPE_CHECKING, List
 
-from repro.blocks.pool import MemoryPool
 from repro.blocks.server import MemoryServer
+
+if TYPE_CHECKING:
+    from repro.core.controller import JiffyController
 
 
 @dataclass
 class ScalingAction:
     """One autoscaler decision."""
 
-    kind: str  # "add" | "remove" | "drain"
+    kind: str  # "add" | "drain"
     server_id: str
     free_fraction_before: float
 
 
 class ClusterAutoscaler:
-    """Adds/removes memory servers to keep free capacity in band."""
+    """Joins/drains a controller's servers to keep free capacity in band."""
 
     def __init__(
         self,
-        pool: MemoryPool,
+        controller: "JiffyController",
         blocks_per_server: int,
         low_free_fraction: float = 0.1,
         high_free_fraction: float = 0.5,
         min_servers: int = 1,
-        max_servers: Optional[int] = None,
-        controller: Optional[Any] = None,
     ) -> None:
         if not 0.0 <= low_free_fraction < high_free_fraction <= 1.0:
             raise ValueError(
@@ -69,13 +61,12 @@ class ClusterAutoscaler:
             raise ValueError("blocks_per_server must be positive")
         if min_servers < 1:
             raise ValueError("min_servers must be >= 1")
-        self.pool = pool
+        self.controller = controller
+        self.pool = controller.pool
         self.blocks_per_server = blocks_per_server
         self.low_free_fraction = low_free_fraction
         self.high_free_fraction = high_free_fraction
         self.min_servers = min_servers
-        self.max_servers = max_servers
-        self.controller = controller
         self.actions: List[ScalingAction] = []
 
     # ------------------------------------------------------------------
@@ -110,16 +101,8 @@ class ClusterAutoscaler:
     def _scale_up(self) -> List[ScalingAction]:
         taken: List[ScalingAction] = []
         while self.free_fraction() < self.low_free_fraction:
-            if (
-                self.max_servers is not None
-                and len(self._active_servers()) >= self.max_servers
-            ):
-                break
             before = self.free_fraction()
-            if self.controller is not None:
-                server_id = self.controller.join_server(self.blocks_per_server)
-            else:
-                server_id = self.pool.add_server(self.blocks_per_server)
+            server_id = self.controller.join_server(self.blocks_per_server)
             taken.append(
                 ScalingAction("add", server_id, free_fraction_before=before)
             )
@@ -132,11 +115,9 @@ class ClusterAutoscaler:
             and len(self._active_servers()) > self.min_servers
         ):
             candidate = self._pick_drain_candidate()
-            if candidate is None:
-                break
             # The pool must stay above the low watermark once the
-            # candidate's capacity leaves and its resident blocks (if
-            # any) land on the survivors.
+            # candidate's capacity leaves and its resident blocks land
+            # on the survivors.
             total_after = self.pool.total_blocks - candidate.num_blocks
             free_after = (
                 self.pool.free_blocks
@@ -146,39 +127,18 @@ class ClusterAutoscaler:
             if total_after <= 0 or free_after / total_after < self.low_free_fraction:
                 break
             before = self.free_fraction()
-            if self.controller is not None:
-                # Migration-backed drain: safe even for loaded servers.
-                self.controller.leave_server(candidate.server_id)
-                taken.append(
-                    ScalingAction(
-                        "drain",
-                        candidate.server_id,
-                        free_fraction_before=before,
-                    )
-                )
-                continue
-            # Pool-only mode: drain-gate the removal. Marking first
-            # means no new allocation can land on the candidate; if one
-            # already did, skip it this pass instead of raising.
-            self.pool.mark_draining(candidate.server_id)
-            if candidate.allocated_blocks:
-                self.pool.unmark_draining(candidate.server_id)
-                break
-            self.pool.remove_server(candidate.server_id)
+            # Migration-backed drain: safe even for loaded servers.
+            self.controller.leave_server(candidate.server_id)
             taken.append(
                 ScalingAction(
-                    "remove", candidate.server_id, free_fraction_before=before
+                    "drain", candidate.server_id, free_fraction_before=before
                 )
             )
         return taken
 
-    def _pick_drain_candidate(self) -> Optional[MemoryServer]:
-        """Least-loaded active server; pool-only mode requires empty."""
-        candidates = self._active_servers()
-        if self.controller is None:
-            candidates = [s for s in candidates if s.allocated_blocks == 0]
-        if not candidates:
-            return None
+    def _pick_drain_candidate(self) -> MemoryServer:
+        """Least-loaded active server."""
         return min(
-            candidates, key=lambda s: (s.allocated_blocks, s.server_id)
+            self._active_servers(),
+            key=lambda s: (s.allocated_blocks, s.server_id),
         )

@@ -198,12 +198,11 @@ class JiffyController(ControlPlane):
                 sizes = [s.num_blocks for s in pool.servers()]
                 blocks_per = max(sizes) if sizes else default_blocks
             self.autoscaler = ClusterAutoscaler(
-                pool,
+                self,
                 blocks_per,
                 low_free_fraction=self.config.autoscale_low_free,
                 high_free_fraction=self.config.autoscale_high_free,
                 min_servers=self.config.autoscale_min_servers,
-                controller=self,
             )
         # Adaptive tiering (Jenga-style): the manager scans from tick(),
         # promotes hot spill blocks toward DRAM and demotes cold DRAM

@@ -10,7 +10,7 @@ Two scopes of instrumentation live here:
 * **Deployment-scoped** — a :class:`~repro.core.controller.JiffyController`
   owns a registry (``controller.telemetry``) that its lease manager,
   allocator, and data structures record into, so two controllers in one
-  process never mix their numbers; ``repro.metrics.snapshot`` reads it.
+  process never mix their numbers.
 
 See ``docs/architecture.md`` ("Observability") for the metric naming
 scheme and span taxonomy.

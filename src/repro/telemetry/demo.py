@@ -28,7 +28,6 @@ from repro.core.plane import ControlPlane, make_control_plane
 from repro.rpc.dataplane import RemoteKV, serve_kv
 from repro.sim.clock import SimClock
 from repro.sim.events import EventLoop
-from repro.storage.tier import SSD_TIER
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracer import Tracer
 
@@ -42,9 +41,7 @@ class DemoResult:
 
 
 def _tiered_pool(dram_blocks: int, server_id: Optional[str] = None) -> TieredMemoryPool:
-    pool = TieredMemoryPool(
-        block_size=4 * KB, spill_tier=SSD_TIER, spill_server_blocks=64
-    )
+    pool = TieredMemoryPool(block_size=4 * KB, spill_server_blocks=64)
     if server_id is None:
         pool.add_server(num_blocks=dram_blocks)
     else:

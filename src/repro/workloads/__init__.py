@@ -23,8 +23,6 @@ from repro.workloads.zipf import ZipfKeySampler
 from repro.workloads.text import SyntheticTextGenerator
 from repro.workloads.video import VideoWorkload
 from repro.workloads.dag import layered_dag, linear_dag, map_reduce_dag
-from repro.workloads.tpcds import TEMPLATES, TpcdsWorkloadGenerator
-from repro.workloads.traceio import load_traces, save_traces
 
 __all__ = [
     "JobTrace",
@@ -37,8 +35,4 @@ __all__ = [
     "layered_dag",
     "linear_dag",
     "map_reduce_dag",
-    "load_traces",
-    "save_traces",
-    "TpcdsWorkloadGenerator",
-    "TEMPLATES",
 ]

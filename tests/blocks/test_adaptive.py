@@ -25,6 +25,18 @@ from repro.storage.tier import PMEM_TIER, SSD_TIER
 from repro.telemetry.registry import MetricsRegistry
 
 
+class MoveLog(dict):
+    """``on_move`` hook recording each cut-over as ``old_id -> new Block``.
+
+    Keyed by the old id because a swap hands the victim's freed DRAM id
+    to the candidate, so a block's current id alone cannot tell the two
+    moves apart.
+    """
+
+    def __call__(self, old_id, new):
+        self[old_id] = new
+
+
 def make_rig(
     dram_blocks=2,
     tier_budgets=None,
@@ -35,7 +47,8 @@ def make_rig(
     """(clock, scheduler, pool, manager) with test-friendly defaults.
 
     ``confirm_scans=1`` and ``dwell_s=0`` so a single scan can plan a
-    move; individual tests re-enable each guard to pin it.
+    move; individual tests re-enable each guard to pin it. The manager's
+    ``on_move`` is a :class:`MoveLog`.
     """
     clock = SimClock()
     scheduler = BackgroundScheduler(clock=clock)
@@ -51,6 +64,7 @@ def make_rig(
         pool,
         clock,
         scheduler,
+        MoveLog(),
         confirm_scans=confirm_scans,
         dwell_s=dwell_s,
         registry=registry,
@@ -76,8 +90,9 @@ class TestPromotion:
         assert manager.promotions == 0  # planned, not yet executed
         scheduler.drain()
         assert manager.promotions == 1
-        moved = pool.get_block(manager.resolve(spill.block_id))
+        moved = manager.on_move[spill.block_id]
         assert moved.tier == DRAM_NAME
+        assert pool.get_block(moved.block_id) is moved
 
     def test_move_carries_payload_and_accounting(self):
         clock, scheduler, pool, manager = make_rig()
@@ -90,7 +105,7 @@ class TestPromotion:
         spill.acc = 5
         manager.scan()
         scheduler.drain()
-        moved = pool.get_block(manager.resolve(spill.block_id))
+        moved = manager.on_move[spill.block_id]
         assert moved.payload["data"] == b"x" * 60
         assert moved.used == 60
         assert moved.sealed
@@ -121,7 +136,7 @@ class TestPromotion:
         manager.demote_enabled = False
         manager.scan()
         scheduler.drain()
-        moved = pool.get_block(manager.resolve(on_ssd.block_id))
+        moved = manager.on_move[on_ssd.block_id]
         assert moved.tier == "PMem"
         assert manager.promotions == 1
 
@@ -136,7 +151,7 @@ class TestPressureDrivenDemotion:
         assert manager.scan() >= 1
         scheduler.drain()
         assert manager.demotions >= 1
-        moved = pool.get_block(manager.resolve(cold.block_id))
+        moved = manager.on_move[cold.block_id]
         assert moved.tier == "PMem"  # demotion goes one level, not to SSD
 
     def test_roomy_dram_keeps_idle_blocks(self):
@@ -173,7 +188,7 @@ class TestPressureDrivenDemotion:
         clock.advance(1.0)
         manager.scan()
         scheduler.drain()
-        moved = pool.get_block(manager.resolve(p0.block_id))
+        moved = manager.on_move[p0.block_id]
         assert moved.tier == "SSD"
 
 
@@ -236,11 +251,7 @@ class TestDwellAndPersistence:
 class TestSwap:
     def test_hot_spill_swaps_with_cold_dram_victim(self):
         clock, scheduler, pool, manager = make_rig(dram_blocks=2)
-        # Track cut-overs by old id: a swap reuses the victim's freed
-        # DRAM id for the candidate, so resolving by stale id alone
-        # cannot distinguish them.
-        moved = {}
-        manager.on_move = lambda old_id, new: moved.__setitem__(old_id, new)
+        moved = manager.on_move
         cold, warm = fill_dram(pool, 2)
         spill = pool.allocate()
         warm.acc = 2
@@ -296,6 +307,7 @@ class TestExecutionTimeRevalidation:
             pool,
             clock,
             scheduler,
+            MoveLog(),
             confirm_scans=1,
             dwell_s=0.0,
             registry=registry,
@@ -319,7 +331,13 @@ class TestExecutionTimeRevalidation:
         )
         pool.add_server(num_blocks=2)
         manager = AdaptiveTierManager(
-            pool, clock, scheduler, confirm_scans=1, dwell_s=0.0, registry=registry
+            pool,
+            clock,
+            scheduler,
+            MoveLog(),
+            confirm_scans=1,
+            dwell_s=0.0,
+            registry=registry,
         )
         d0, _ = fill_dram(pool, 2)
         spill = pool.allocate()
@@ -337,18 +355,27 @@ class TestValidation:
         clock, scheduler, pool, _ = make_rig()
         with pytest.raises(BlockError):
             AdaptiveTierManager(
-                pool, clock, scheduler, promote_heat=1.0, demote_heat=2.0
+                pool,
+                clock,
+                scheduler,
+                MoveLog(),
+                promote_heat=1.0,
+                demote_heat=2.0,
             )
 
     def test_rejects_bad_confirm_scans(self):
         clock, scheduler, pool, _ = make_rig()
         with pytest.raises(BlockError):
-            AdaptiveTierManager(pool, clock, scheduler, confirm_scans=0)
+            AdaptiveTierManager(
+                pool, clock, scheduler, MoveLog(), confirm_scans=0
+            )
 
     def test_rejects_bad_hysteresis_ratio(self):
         clock, scheduler, pool, _ = make_rig()
         with pytest.raises(BlockError):
-            AdaptiveTierManager(pool, clock, scheduler, hysteresis_ratio=0.5)
+            AdaptiveTierManager(
+                pool, clock, scheduler, MoveLog(), hysteresis_ratio=0.5
+            )
 
 
 # Op codes for the equivalence test: (action, operand) pairs.
@@ -385,6 +412,7 @@ class TestStaticEquivalence:
                     pool,
                     clock,
                     scheduler,
+                    MoveLog(),
                     confirm_scans=1,
                     dwell_s=0.0,
                     scan_interval_s=1.0,
@@ -424,6 +452,7 @@ class TestStaticEquivalence:
         assert res_managed == res_static
         assert manager.promotions == 0
         assert manager.demotions == 0
+        assert manager.on_move == {}
 
 
 class TestControllerCutOver:

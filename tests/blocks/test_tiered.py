@@ -207,7 +207,7 @@ class TestAccessLatency:
         assert write == pytest.approx(SSD_TIER.write_latency(1000))
 
     def test_s3_spill_tier(self):
-        pool = TieredMemoryPool(block_size=100, spill_tier=S3_TIER)
+        pool = TieredMemoryPool(block_size=100, tiers=(S3_TIER,))
         block = pool.allocate()  # no DRAM servers: straight to spill
         assert block.tier == "S3"
         assert pool.access_latency(block, 100) > SSD_TIER.read_latency(100)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.blocks.pool import MemoryPool
 from repro.config import KB, JiffyConfig
 from repro.core.autoscale import ClusterAutoscaler
 from repro.core.client import connect
@@ -11,130 +10,73 @@ from repro.sim.clock import SimClock
 
 
 @pytest.fixture
-def pool():
-    pool = MemoryPool(block_size=100)
-    pool.add_server(num_blocks=10)
-    return pool
+def controller():
+    controller = JiffyController(
+        JiffyConfig(block_size=KB), clock=SimClock(), default_blocks=10
+    )
+    controller.register_job("j")
+    controller.create_addr_prefix("j", "t")
+    return controller
+
+
+def fill(controller, n):
+    for _ in range(n):
+        assert controller.try_allocate_block("j", "t") is not None
 
 
 class TestScaleUp:
-    def test_adds_servers_when_free_low(self, pool):
-        scaler = ClusterAutoscaler(pool, blocks_per_server=10, low_free_fraction=0.2)
-        for _ in range(9):  # 1/10 free = 10% < 20%
-            pool.allocate()
+    def test_adds_servers_when_free_low(self, controller):
+        scaler = ClusterAutoscaler(
+            controller, blocks_per_server=10, low_free_fraction=0.2
+        )
+        fill(controller, 9)  # 1/10 free = 10% < 20%
         actions = scaler.evaluate()
         assert actions and all(a.kind == "add" for a in actions)
         assert scaler.free_fraction() >= 0.2
+        assert controller.pool.num_servers == 1 + len(actions)
 
-    def test_no_action_in_band(self, pool):
-        scaler = ClusterAutoscaler(pool, blocks_per_server=10)
-        for _ in range(6):  # 40% free: inside [10%, 50%]
-            pool.allocate()
+    def test_no_action_in_band(self, controller):
+        scaler = ClusterAutoscaler(controller, blocks_per_server=10)
+        fill(controller, 6)  # 40% free: inside [10%, 50%]
         assert scaler.evaluate() == []
-
-    def test_respects_max_servers(self, pool):
-        scaler = ClusterAutoscaler(
-            pool,
-            blocks_per_server=1,
-            low_free_fraction=0.9,
-            high_free_fraction=0.99,
-            max_servers=3,
-        )
-        for _ in range(10):
-            pool.allocate()
-        scaler.evaluate()
-        assert pool.num_servers == 3
 
 
 class TestScaleDown:
-    def test_removes_idle_servers_when_free_high(self, pool):
-        pool.add_server(num_blocks=10)
-        pool.add_server(num_blocks=10)
+    def test_removes_idle_servers_when_free_high(self, controller):
+        controller.join_server(10)
+        controller.join_server(10)
         scaler = ClusterAutoscaler(
-            pool, blocks_per_server=10, high_free_fraction=0.5
+            controller, blocks_per_server=10, high_free_fraction=0.5
         )
         actions = scaler.evaluate()  # 100% free, 3 servers
-        assert any(a.kind == "remove" for a in actions)
-        assert pool.num_servers >= scaler.min_servers
+        assert actions and all(a.kind == "drain" for a in actions)
+        controller.drain_background()
+        assert controller.pool.num_servers == 3 - len(actions)
+        assert controller.pool.num_servers >= scaler.min_servers
 
-    def test_never_below_min_servers(self, pool):
+    def test_never_below_min_servers(self, controller):
         scaler = ClusterAutoscaler(
-            pool,
+            controller,
             blocks_per_server=10,
             low_free_fraction=0.05,
             high_free_fraction=0.1,
             min_servers=1,
         )
-        scaler.evaluate()
-        assert pool.num_servers == 1
+        assert scaler.evaluate() == []
+        assert controller.pool.num_servers == 1
 
-    def test_loaded_servers_not_removed(self):
-        pool = MemoryPool(block_size=100)
-        pool.add_server(num_blocks=2, server_id="a")
-        pool.add_server(num_blocks=2, server_id="b")
-        # One block on each server (least-loaded placement alternates).
-        pool.allocate()
-        pool.allocate()
-        scaler = ClusterAutoscaler(pool, blocks_per_server=2, high_free_fraction=0.3)
-        scaler.evaluate()
-        assert pool.num_servers == 2  # both servers hold data
-
-    def test_scale_down_keeps_low_watermark(self, pool):
-        # Removing the only spare server would cross the low watermark.
-        pool.add_server(num_blocks=10)
-        for _ in range(9):
-            pool.allocate()
+    def test_scale_down_keeps_low_watermark(self, controller):
+        # Draining the spare server would cross the low watermark.
+        controller.join_server(10)
+        fill(controller, 9)
         scaler = ClusterAutoscaler(
-            pool,
+            controller,
             blocks_per_server=10,
             low_free_fraction=0.5,
             high_free_fraction=0.54,
         )
-        scaler.evaluate()
+        assert scaler.evaluate() == []
         assert scaler.free_fraction() >= 0.5
-
-
-class _RacingPool(MemoryPool):
-    """Pool that sneaks an allocation onto a server as it is marked.
-
-    Models the pick-then-remove race: an allocation lands on the
-    scale-down candidate after the autoscaler picked it (while it was
-    still empty) but before the removal. Marking happens-before the
-    final emptiness check, so the drain-gated autoscaler must see the
-    late block and skip the removal instead of raising.
-    """
-
-    def __init__(self, *args, race_on: str, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._race_on = race_on
-        self.raced = False
-
-    def mark_draining(self, server_id: str) -> None:
-        if server_id == self._race_on and not self.raced:
-            self.raced = True
-            block = self.allocate()  # least-loaded: lands on the candidate
-            assert block.server_id == server_id
-        super().mark_draining(server_id)
-
-
-class TestScaleDownRace:
-    def test_late_allocation_on_candidate_skips_removal(self):
-        pool = _RacingPool(block_size=100, race_on="b")
-        pool.add_server(num_blocks=4, server_id="a")
-        pool.add_server(num_blocks=4, server_id="b")
-        # Leave "a" loaded and "b" empty so "b" is the removal pick.
-        for _ in range(2):
-            block = pool.allocate(exclude={"b"})
-            assert block.server_id == "a"
-        scaler = ClusterAutoscaler(
-            pool, blocks_per_server=4, high_free_fraction=0.5
-        )
-        actions = scaler.evaluate()  # 6/8 free: wants to remove "b"
-        assert pool.raced, "race path was not exercised"
-        assert all(a.kind != "remove" for a in actions)
-        assert pool.num_servers == 2  # candidate kept its late block
-        assert not pool.is_draining("b")  # unmarked, allocatable again
-        assert pool.free_blocks + pool.allocated_blocks == pool.total_blocks
 
 
 class TestControllerMode:
@@ -162,8 +104,8 @@ class TestControllerMode:
         assert any(a.kind == "add" for a in controller.autoscaler.actions)
 
     def test_tick_drains_loaded_surplus_server(self):
-        # Controller mode scales down through leave_server, so even a
-        # *loaded* surplus server is drained safely via migration.
+        # Scale-down goes through leave_server, so even a *loaded*
+        # surplus server is drained safely via migration.
         controller = self._controller(autoscale_high_free=0.5)
         client = connect(controller, "j")
         client.create_addr_prefix("f")
@@ -190,16 +132,40 @@ class TestControllerMode:
         controller.drain_background()
         assert controller.pool.num_servers == 2
 
+    def test_replicated_scale_down_keeps_chain_servers(self):
+        # min_servers >= replication_factor (JiffyConfig enforces it), so
+        # scale-down stops while every chain still has distinct servers.
+        controller = self._controller(
+            autoscale_high_free=0.5,
+            autoscale_min_servers=2,
+            replication_factor=2,
+        )
+        for _ in range(3):
+            controller.join_server(8)
+        client = connect(controller, "j")
+        client.create_addr_prefix("kv")
+        kv = client.init_data_structure("kv", "kv_store", num_slots=16)
+        kv.put(b"a", b"1")
+        controller.tick()
+        controller.drain_background()
+        assert controller.pool.num_servers == 2
+        for i in range(20):
+            kv.put(b"k%d" % i, b"v" * 50)
+        assert kv.get(b"a") == b"1"
+        assert kv.get(b"k19") == b"v" * 50
+
 
 class TestValidation:
-    def test_bad_band(self, pool):
+    def test_bad_band(self, controller):
         with pytest.raises(ValueError):
-            ClusterAutoscaler(pool, 10, low_free_fraction=0.6, high_free_fraction=0.5)
+            ClusterAutoscaler(
+                controller, 10, low_free_fraction=0.6, high_free_fraction=0.5
+            )
 
-    def test_bad_blocks_per_server(self, pool):
+    def test_bad_blocks_per_server(self, controller):
         with pytest.raises(ValueError):
-            ClusterAutoscaler(pool, 0)
+            ClusterAutoscaler(controller, 0)
 
-    def test_bad_min_servers(self, pool):
+    def test_bad_min_servers(self, controller):
         with pytest.raises(ValueError):
-            ClusterAutoscaler(pool, 10, min_servers=0)
+            ClusterAutoscaler(controller, 10, min_servers=0)

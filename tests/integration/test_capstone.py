@@ -1,6 +1,6 @@
 """Capstone: a full multi-tenant deployment exercising everything at once.
 
-One shared controller with a tiered pool and a fair-share policy hosts,
+One shared controller with a tiered pool and per-tenant quotas hosts,
 concurrently:
 
 * a MapReduce job (shuffle files, combiner),
@@ -19,7 +19,6 @@ import pytest
 from repro.blocks.tiered import TieredMemoryPool
 from repro.config import KB, JiffyConfig
 from repro.core.controller import JiffyController
-from repro.core.fairness import FairShareManager
 from repro.frameworks import (
     DataflowGraph,
     MapReduceJob,
@@ -30,7 +29,6 @@ from repro.frameworks import (
     Vertex,
     accumulators,
 )
-from repro.metrics import snapshot
 from repro.sim.clock import SimClock
 from repro.workloads.text import SyntheticTextGenerator
 
@@ -123,10 +121,12 @@ def test_multi_framework_deployment(controller, clock):
     graph.run()
     assert tail_seen == [b"1,ok", b"2,ok"]
 
-    # ---- Fairness: a hog gets contained, tenants keep working ----
-    manager = FairShareManager(controller)
-    manager.apply()
-    hog_quota = controller.allocator.quota_of("tenant1-mr")
+    # ---- Quotas: an equal split per tenant, tenants keep working ----
+    jobs = controller.jobs()
+    share = controller.total_blocks() // len(jobs)
+    for job in jobs:
+        controller.set_quota(job, share)
+    hog_quota = controller.quota_of("tenant1-mr")
     assert hog_quota is not None and hog_quota > 0
 
     # ---- Lease churn: tenants wind down; capacity is recycled ----
@@ -135,13 +135,12 @@ def test_multi_framework_deployment(controller, clock):
     graph.finish()
     clock.advance(3.0)
     controller.tick()
-    metrics = snapshot(controller)
     # Only tenant2-state's table may remain (its master held leases) —
     # but the piccolo job stopped renewing too, so after the advance
     # everything is reclaimed.
-    assert metrics["pool.allocated_blocks"] == 0
-    assert metrics["controller.jobs"] >= 1  # piccolo job still registered
-    assert metrics["external.objects"] >= 1  # expired state was flushed
+    assert controller.pool.allocated_blocks == 0
+    assert len(controller.jobs()) >= 1  # piccolo job still registered
+    assert len(controller.external_store) >= 1  # expired state was flushed
 
     # The flushed Piccolo table survives and can be restored.
     piccolo.restore("counts", "tenant2-state/table-counts")

@@ -4,13 +4,12 @@ Drives the telemetry demo workload (controller on a tiered pool, leases
 and expiry, KV served over the RPC data plane) and checks the
 acceptance-level properties: several distinct latency histograms are
 populated, the JSONL trace contains client-side RPC spans that parent
-the matching server-side spans, and the classic metrics snapshot still
-works against the instrumented controller.
+the matching server-side spans, and the controller's counters land in
+the registry.
 """
 
 import json
 
-from repro.metrics import snapshot
 from repro.telemetry import MetricsRegistry, Tracer, demo
 
 
@@ -59,12 +58,6 @@ class TestInstrumentedRun:
         assert self.registry.value("controller.flushes") >= 1
         # The demo's DRAM tier is deliberately small: some allocations spill.
         assert self.registry.value("pool.spill.allocations") >= 1
-
-    def test_snapshot_works_on_instrumented_controller(self):
-        metrics = snapshot(self.result.controller)
-        assert metrics["controller.prefixes_expired"] >= 1
-        assert metrics["allocator.allocations"] >= 1
-        assert metrics["pool.spill_allocations"] >= 1
 
 
 class TestTraceFile:

@@ -68,6 +68,17 @@ class TestValidation:
         assert JiffyConfig(tiering="adaptive").tiering == "adaptive"
         assert JiffyConfig(replication_factor=2).replication_factor == 2
 
+    def test_rejects_autoscale_min_servers_below_replication(self):
+        # Draining below rf servers leaves chains nowhere to place a
+        # backup, and puts then fail with free blocks left.
+        with pytest.raises(ValueError, match="replication_factor=2"):
+            JiffyConfig(autoscale=True, replication_factor=2)
+        config = JiffyConfig(
+            autoscale=True, replication_factor=2, autoscale_min_servers=2
+        )
+        assert config.autoscale_min_servers == 2
+        assert JiffyConfig(replication_factor=2).autoscale is False
+
 
 class TestOverrides:
     def test_with_overrides_returns_new_config(self):
